@@ -108,10 +108,12 @@ let time_engines () =
    bit-identical whatever the job count — checked against the serial
    engine on every run — while the wall clock depends on how many cores
    the host actually has.  The JSON therefore records the real core
-   count and a per-jobs time table, and refuses to call the 1-vs-max
-   ratio a "speedup" when it is below 1.0: on a host with fewer cores
-   than jobs the comparison measures scheduling overhead, not scaling,
-   so it is additionally marked ["valid"]: false. *)
+   count and a per-jobs time table.  The headline compares jobs=1 with
+   the widest pool the host's cores can run at once: a pool wider than
+   the core count measures oversubscription (domains time-slicing a
+   core), not scaling, so it stays in the table but out of the ratio,
+   and a ratio below 1.0 is reported as a "slowdown", never a sub-1.0
+   "speedup". *)
 let time_parallel () =
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -135,9 +137,12 @@ let time_parallel () =
       job_counts
   in
   let time_of j = List.assoc j timings in
-  let max_jobs = List.fold_left (fun acc (j, _) -> max acc j) 1 timings in
+  let max_jobs =
+    List.fold_left
+      (fun acc (j, _) -> if j <= cores then max acc j else acc)
+      1 timings
+  in
   let ratio = time_of 1 /. time_of max_jobs in
-  let valid = cores >= max_jobs in
   Printf.printf
     "---- fig4_1 parallel engine comparison (host has %d core%s) ----\n"
     cores
@@ -148,10 +153,6 @@ let time_parallel () =
    else
      Printf.printf "slowdown (jobs=1 vs jobs=%d):  %.2fx\n" max_jobs
        (1.0 /. ratio));
-  if not valid then
-    Printf.printf
-      "(not a valid scaling measurement: %d job(s) > %d core(s))\n" max_jobs
-      cores;
   print_newline ();
   let oc = open_out "BENCH_parallel.json" in
   Printf.fprintf oc "{\n  \"experiment\": \"fig4_1\",\n  \"cores\": %d,\n"
@@ -161,8 +162,7 @@ let time_parallel () =
     timings;
   if ratio >= 1.0 then Printf.fprintf oc "  \"speedup\": %.2f,\n" ratio
   else Printf.fprintf oc "  \"slowdown\": %.2f,\n" (1.0 /. ratio);
-  Printf.fprintf oc "  \"compared_jobs\": [1, %d],\n  \"valid\": %b\n}\n"
-    max_jobs valid;
+  Printf.fprintf oc "  \"compared_jobs\": [1, %d]\n}\n" max_jobs;
   close_out oc;
   Printf.printf "wrote BENCH_parallel.json\n\n%!"
 

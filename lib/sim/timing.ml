@@ -21,7 +21,15 @@
    - an optional data cache adds a blocking miss penalty (Section 5.1).
 
    Cycle counts are in minor cycles; [base_cycles] divides by the
-   superpipelining degree to express time in base-machine cycles. *)
+   superpipelining degree to express time in base-machine cycles.
+
+   The model does not step through stalls.  Each constraint above is a
+   lower bound on the issue cycle that stays satisfied once met, so
+   [issue_decoded] computes the issue cycle in closed form as the
+   maximum of those bounds, charges the gap to [stall_cycles] and the
+   issue histogram in one step, and allocates nothing: its cost is per
+   instruction, not per minor cycle, which matters on superpipelined
+   machines that stall [m] times as many cycles for the same code. *)
 
 open Ilp_ir
 open Ilp_machine
@@ -49,8 +57,9 @@ end)
 type t = {
   config : Config.t;
   reg_ready : int array;
-  pools : unit_pool list;  (** in [config.units] declaration order *)
-  pools_by_class : unit_pool list array;  (** indexed by class *)
+  pools : unit_pool array;  (** in [config.units] declaration order *)
+  pools_by_class : unit_pool array array;
+      (** indexed by class; each in declaration order *)
   mutable now : int;  (** current minor cycle *)
   mutable issued_this_cycle : int;
   mutable instrs : int;
@@ -78,11 +87,12 @@ let create ?cache ?(registers = Exec.default_options.Exec.registers)
   let pools_by_class =
     Array.init Iclass.count (fun idx ->
         let c = Iclass.of_index idx in
-        List.filter (fun p -> List.mem c p.spec.Config.classes) pools)
+        Array.of_list
+          (List.filter (fun p -> List.mem c p.spec.Config.classes) pools))
   in
   { config;
     reg_ready = Array.make registers 0;
-    pools;
+    pools = Array.of_list pools;
     pools_by_class;
     now = 0;
     issued_this_cycle = 0;
@@ -127,7 +137,7 @@ let snapshot t =
     snap_registers = Array.length t.reg_ready;
     snap_reg_ready = Array.copy t.reg_ready;
     snap_free_at =
-      Array.of_list (List.map (fun p -> Array.copy p.free_at) t.pools);
+      Array.map (fun p -> Array.copy p.free_at) t.pools;
     snap_now = t.now;
     snap_issued_this_cycle = t.issued_this_cycle;
     snap_instrs = t.instrs;
@@ -146,7 +156,7 @@ let resume snap =
   let t = create ~registers:snap.snap_registers snap.snap_config in
   Array.blit snap.snap_reg_ready 0 t.reg_ready 0
     (Array.length snap.snap_reg_ready);
-  List.iteri
+  Array.iteri
     (fun k p ->
       Array.blit snap.snap_free_at.(k) 0 p.free_at 0 (Array.length p.free_at))
     t.pools;
@@ -166,107 +176,100 @@ let resume snap =
   in
   t
 
-let next_cycle t =
-  t.issue_histogram.(min t.issued_this_cycle
-                       (Array.length t.issue_histogram - 1)) <-
-    t.issue_histogram.(min t.issued_this_cycle
-                         (Array.length t.issue_histogram - 1))
-    + 1;
-  t.now <- t.now + 1;
+(* Close the open cycle, crediting it to the histogram with its issue
+   count, and land on cycle [at] (> [t.now]); the [at - now - 1] cycles
+   skipped in between issued nothing and are credited in one step. *)
+let skip_to t at =
+  let h = t.issue_histogram in
+  let k = min t.issued_this_cycle (Array.length h - 1) in
+  h.(k) <- h.(k) + 1;
+  h.(0) <- h.(0) + (at - t.now - 1);
+  t.now <- at;
   t.issued_this_cycle <- 0;
   t.force_cycle_end <- false
 
-(* Find a functional unit able to issue at [t.now]; [None] when the class
-   is unconstrained, [Some None] when all units are busy. *)
-let find_unit t cls =
-  match t.pools_by_class.(Iclass.to_index cls) with
-  | [] -> `Unconstrained
-  | pools ->
-      let rec search = function
-        | [] -> `Busy
-        | p :: rest ->
-            let rec scan i =
-              if i >= Array.length p.free_at then search rest
-              else if p.free_at.(i) <= t.now then `Free (p, i)
-              else scan (i + 1)
-            in
-            scan 0
-      in
-      search pools
+(* index of the first copy in [free_at] free at cycle [at], from [i];
+   -1 when every copy is busy *)
+let rec free_copy (free_at : int array) i at =
+  if i >= Array.length free_at then -1
+  else if free_at.(i) <= at then i
+  else free_copy free_at (i + 1) at
 
-(* registers ready at or before [t.now]?  [regs] holds register
-   indices; plain loops, no allocation — this is the replay hot path. *)
-let regs_ready t (regs : int array) bound =
-  let ok = ref true in
-  for k = 0 to Array.length regs - 1 do
-    if t.reg_ready.(regs.(k)) > bound then ok := false
-  done;
-  !ok
+(* Occupy the first unit free at [at] in declaration order, from pool
+   [k] on; the caller guarantees one exists. *)
+let rec claim (pools : unit_pool array) k at =
+  let pool = pools.(k) in
+  let i = free_copy pool.free_at 0 at in
+  if i >= 0 then pool.free_at.(i) <- at + pool.spec.Config.issue_latency
+  else claim pools (k + 1) at
 
 (* Account one dynamic instruction given its pre-decoded fields: class,
    load-ness, def/use register indices, and the effective address of a
    memory operation or -1.  [issue] decodes an [Instr.t] down to exactly
    this, so direct observation and trace replay share one code path and
-   produce identical timing. *)
+   produce identical timing.  This is the replay hot path: no per-cycle
+   loop (see the header) and no allocation. *)
 let issue_decoded t ~cls ~is_load ~(defs : int array) ~(uses : int array)
     addr =
-  let latency = ref (Config.latency t.config cls) in
+  let latency = Config.latency t.config cls in
   (* a cache miss on a load lengthens its latency; on a store it only
      blocks the pipeline (write-allocate, blocking cache) *)
-  (match t.cache with
-  | Some cache when addr >= 0 ->
-      if not (Cache.access cache addr) then begin
-        if is_load then latency := !latency + Cache.miss_penalty cache
-        else
+  let latency =
+    match t.cache with
+    | Some cache when addr >= 0 && not (Cache.access cache addr) ->
+        if is_load then latency + Cache.miss_penalty cache
+        else begin
           t.cache_stall_until <-
-            max t.cache_stall_until (t.now + Cache.miss_penalty cache)
-      end
-  | Some _ | None -> ());
-  let rec try_issue () =
-    if t.now < t.cache_stall_until then begin
-      (* blocking-cache stall: charge the skipped cycles as stalls and
-         close each of them normally, so the interrupted cycle and every
-         stalled cycle still land in the issue histogram *)
-      t.stall_cycles <- t.stall_cycles + (t.cache_stall_until - t.now);
-      while t.now < t.cache_stall_until do
-        next_cycle t
-      done
-    end;
-    if
-      t.issued_this_cycle >= t.config.Config.issue_width
-      || t.force_cycle_end
-    then begin
-      next_cycle t;
-      try_issue ()
-    end
-    else if
-      not (regs_ready t uses t.now && regs_ready t defs (t.now + !latency))
-    then begin
-      t.stall_cycles <- t.stall_cycles + 1;
-      next_cycle t;
-      try_issue ()
-    end
-    else
-      match find_unit t cls with
-      | `Busy ->
-          t.stall_cycles <- t.stall_cycles + 1;
-          next_cycle t;
-          try_issue ()
-      | `Unconstrained ->
-          Array.iter (fun d -> t.reg_ready.(d) <- t.now + !latency) defs;
-          t.issued_this_cycle <- t.issued_this_cycle + 1;
-          t.instrs <- t.instrs + 1;
-          if t.config.Config.branch_ends_packet && Iclass.is_control cls then
-            t.force_cycle_end <- true
-      | `Free (pool, idx) ->
-          pool.free_at.(idx) <- t.now + pool.spec.Config.issue_latency;
-          Array.iter (fun d -> t.reg_ready.(d) <- t.now + !latency) defs;
-          t.issued_this_cycle <- t.issued_this_cycle + 1;
-          t.instrs <- t.instrs + 1;
-          if t.config.Config.branch_ends_packet && Iclass.is_control cls then
-            t.force_cycle_end <- true
+            max t.cache_stall_until (t.now + Cache.miss_penalty cache);
+          latency
+        end
+    | Some _ | None -> latency
   in
-  try_issue ()
+  (* blocking-cache stall: the interrupted cycle closes normally and
+     every stalled cycle lands in the histogram as a zero-issue cycle *)
+  if t.now < t.cache_stall_until then begin
+    t.stall_cycles <- t.stall_cycles + (t.cache_stall_until - t.now);
+    skip_to t t.cache_stall_until
+  end;
+  if t.issued_this_cycle >= t.config.Config.issue_width || t.force_cycle_end
+  then skip_to t (t.now + 1);
+  (* earliest cycle at which the sources are ready (RAW), the write
+     completes after every earlier write to its registers (WAW), and a
+     unit serving the class is free (structural) *)
+  let at = ref t.now in
+  for k = 0 to Array.length uses - 1 do
+    let ready = t.reg_ready.(uses.(k)) in
+    if ready > !at then at := ready
+  done;
+  for k = 0 to Array.length defs - 1 do
+    let ready = t.reg_ready.(defs.(k)) - latency in
+    if ready > !at then at := ready
+  done;
+  let pools = t.pools_by_class.(Iclass.to_index cls) in
+  if Array.length pools > 0 then begin
+    let free = ref max_int in
+    for k = 0 to Array.length pools - 1 do
+      let free_at = pools.(k).free_at in
+      for i = 0 to Array.length free_at - 1 do
+        if free_at.(i) < !free then free := free_at.(i)
+      done
+    done;
+    if !free > !at then at := !free
+  end;
+  let at = !at in
+  if at > t.now then begin
+    (* in-order issue: every cycle up to [at] is a stall cycle *)
+    t.stall_cycles <- t.stall_cycles + (at - t.now);
+    skip_to t at
+  end;
+  if Array.length pools > 0 then claim pools 0 at;
+  for k = 0 to Array.length defs - 1 do
+    t.reg_ready.(defs.(k)) <- at + latency
+  done;
+  t.issued_this_cycle <- t.issued_this_cycle + 1;
+  t.instrs <- t.instrs + 1;
+  if t.config.Config.branch_ends_packet && Iclass.is_control cls then
+    t.force_cycle_end <- true
 
 let reg_indices regs = Array.of_list (List.map Reg.index regs)
 
@@ -309,11 +312,8 @@ let minor_cycles t =
    are expected afterwards. *)
 let finish t =
   if not t.finished then begin
-    let total = minor_cycles t in
-    next_cycle t;
-    while t.now < total do
-      next_cycle t
-    done;
+    (* [minor_cycles] is at least [t.now + 1] before the books close *)
+    skip_to t (minor_cycles t);
     t.finished <- true
   end
 

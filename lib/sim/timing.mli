@@ -18,7 +18,9 @@
       (Section 5.1).
 
     Counts are in minor cycles; {!base_cycles} divides by the
-    superpipelining degree. *)
+    superpipelining degree.  Stalls are not stepped through: each
+    instruction's issue cycle is the maximum of the lower bounds its
+    hazards impose, and the skipped cycles are charged in one step. *)
 
 open Ilp_machine
 
@@ -38,8 +40,9 @@ module Int_table : Hashtbl.S with type key = int
 type t = {
   config : Config.t;
   reg_ready : int array;
-  pools : unit_pool list;  (** in [config.units] declaration order *)
-  pools_by_class : unit_pool list array;
+  pools : unit_pool array;  (** in [config.units] declaration order *)
+  pools_by_class : unit_pool array array;
+      (** indexed by class; each in declaration order *)
   mutable now : int;  (** current minor cycle *)
   mutable issued_this_cycle : int;
   mutable instrs : int;
@@ -97,7 +100,9 @@ val issue_decoded :
 (** Like {!issue}, but from pre-decoded fields: instruction class,
     whether it is a load, and def/use register {e indices}.  {!issue} is
     exactly this after decoding, so a trace replay that feeds the same
-    decoded stream produces bit-identical timing. *)
+    decoded stream produces bit-identical timing.  The issue cycle is
+    computed in closed form, so the cost does not grow with the stall,
+    and the call allocates nothing. *)
 
 val observer : t -> Exec.observer
 

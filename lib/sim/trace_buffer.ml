@@ -495,14 +495,15 @@ let prepare t (p : Program.t) =
     pr_bit_stream = bit_stream;
   }
 
-(* Walk state over a prepared binary: instruction pointer, call stack,
+(* Walk state over a prepared binary: instruction pointer, call stack
+   (return addresses in a growable vector, so a call allocates nothing),
    per-stream consumption cursors, and the count of dynamic instructions
    replayed so far.  Mutable and single-owner: exactly one domain
    advances a cursor at a time (a work-stealing pool hands it between
    domains with the necessary happens-before ordering). *)
 type cursor = {
   mutable cu_ip : int;
-  mutable cu_stack : int list;
+  cu_stack : Ivec.t;
   mutable cu_steps : int;
   mutable cu_running : bool;
   cu_acur : int array;
@@ -537,7 +538,7 @@ let validate_end pr cu =
 let start pr =
   let cu =
     { cu_ip = pr.pr_entry;
-      cu_stack = [];
+      cu_stack = Ivec.create ();
       cu_steps = 0;
       cu_running = pr.pr_n > 0 && pr.pr_trace.dyn_instrs > 0;
       cu_acur = Array.make (max 1 pr.pr_n) 0;
@@ -591,14 +592,15 @@ let replay_steps pr cu (timing : Timing.t) ~max_steps =
               (if Bitvec.get v c then pr.pr_target.(k) else pr.pr_next.(k)))
     | 2 (* jump *) -> cu.cu_ip <- pr.pr_target.(k)
     | 3 (* call *) ->
-        cu.cu_stack <- pr.pr_next.(k) :: cu.cu_stack;
+        Ivec.push cu.cu_stack pr.pr_next.(k);
         cu.cu_ip <- pr.pr_target.(k)
-    | 4 (* ret *) -> (
-        match cu.cu_stack with
-        | ra :: rest ->
-            cu.cu_stack <- rest;
-            cu.cu_ip <- ra
-        | [] -> cu.cu_running <- false)
+    | 4 (* ret *) ->
+        let stack = cu.cu_stack in
+        if stack.Ivec.len = 0 then cu.cu_running <- false
+        else begin
+          stack.Ivec.len <- stack.Ivec.len - 1;
+          cu.cu_ip <- stack.Ivec.data.(stack.Ivec.len)
+        end
     | _ (* halt *) -> cu.cu_running <- false);
     if not cu.cu_running then validate_end pr cu
   done

@@ -41,6 +41,25 @@ let test_invalid_configs () =
   Alcotest.check_raises "zero degree" (Invalid_argument "Config.make: pipe_degree < 1")
     (fun () -> ignore (Config.make "bad" ~pipe_degree:0))
 
+let test_invalid_units () =
+  let unit ~issue_latency ~multiplicity =
+    { Config.unit_name = "mem"; classes = [ Iclass.Load ]; issue_latency;
+      multiplicity }
+  in
+  (* with no copies the unit can never issue a load *)
+  Alcotest.check_raises "no copies"
+    (Invalid_argument "Config.make: unit mem: multiplicity < 1") (fun () ->
+      ignore
+        (Config.make "bad"
+           ~units:[ unit ~issue_latency:1 ~multiplicity:0 ]));
+  Alcotest.check_raises "negative issue latency"
+    (Invalid_argument "Config.make: unit mem: issue_latency < 0") (fun () ->
+      ignore
+        (Config.make "bad"
+           ~units:[ unit ~issue_latency:(-1) ~multiplicity:1 ]));
+  (* the boundary values are fine: one copy, issue every cycle or faster *)
+  ignore (Config.make "ok" ~units:[ unit ~issue_latency:0 ~multiplicity:1 ])
+
 let test_multititan_latencies () =
   let c = Presets.multititan in
   Alcotest.(check int) "logical 1" 1 (Config.latency c Iclass.Logical);
@@ -126,6 +145,7 @@ let tests =
     Alcotest.test_case "superpipelined" `Quick test_superpipelined;
     Alcotest.test_case "superpipelined superscalar" `Quick test_sps;
     Alcotest.test_case "invalid configs rejected" `Quick test_invalid_configs;
+    Alcotest.test_case "invalid units rejected" `Quick test_invalid_units;
     Alcotest.test_case "multititan latencies" `Quick test_multititan_latencies;
     Alcotest.test_case "cray1 latencies" `Quick test_cray1_latencies;
     Alcotest.test_case "table 2-1 averages" `Quick test_average_degree_table_2_1;

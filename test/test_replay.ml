@@ -261,8 +261,41 @@ let test_footprint_reported () =
   Alcotest.(check bool) "bounded by dynamic memory accesses" true
     (Trace_buffer.footprint_words trace < Trace_buffer.dyn_instrs trace * 4)
 
+(* Allocation gate: once the binary is prepared, walking the trace
+   through the timing kernel allocates nothing per instruction — no
+   closures, tuples or options in [Timing.issue_decoded], no list cells
+   for the call stack.  The budget of 0.25 words per instruction leaves
+   room for the constant cost of the call itself, not for a per-
+   instruction allocation. *)
+let test_replay_allocation () =
+  let w =
+    match Ilp_workloads.Registry.find "stanford" with
+    | Some w -> w
+    | None -> Alcotest.fail "no stanford workload"
+  in
+  List.iter
+    (fun config ->
+      let pre = Ilp_core.Ilp.compile_unscheduled ~level config w.W.source in
+      let trace = Trace_buffer.capture pre in
+      let binary = Ilp_core.Ilp.schedule ~level config pre in
+      let pr = Trace_buffer.prepare trace binary in
+      let cu = Trace_buffer.start pr in
+      let timing = Timing.create config in
+      let dyn = Trace_buffer.dyn_instrs trace in
+      let before = Gc.minor_words () in
+      Trace_buffer.replay_steps pr cu timing ~max_steps:(dyn + 1);
+      let words = Gc.minor_words () -. before in
+      let per_instr = words /. float_of_int dyn in
+      if per_instr > 0.25 then
+        Alcotest.failf "stanford on %s: %.0f minor words over %d instructions \
+                        (%.3f per instruction, budget 0.25)"
+          config.Config.name words dyn per_instr)
+    [ Presets.superscalar 8; Presets.superpipelined 8 ]
+
 let tests =
-  [ Alcotest.test_case "replay = direct with cache" `Slow
+  [ Alcotest.test_case "replay allocates nothing per instruction" `Quick
+      test_replay_allocation;
+    Alcotest.test_case "replay = direct with cache" `Slow
       test_replay_with_cache;
     Alcotest.test_case "segmented = replay, all presets" `Slow
       test_segmented_equals_replay_all_presets;

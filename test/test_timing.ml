@@ -275,6 +275,213 @@ let test_cache_restore_rejects_geometry () =
     | () -> true
     | exception Invalid_argument _ -> false)
 
+(* ---- differential property: the closed-form kernel against a
+   cycle-by-cycle reference ------------------------------------------ *)
+
+(* Reference semantics of [Timing.issue_decoded]: advance one minor
+   cycle at a time until every issue constraint holds.  Kept small and
+   literal on purpose; the kernel computes the same issue cycle in
+   closed form. *)
+type reference = {
+  r_config : Config.t;
+  r_reg_ready : int array;
+  r_units : (Config.unit_spec * int array) list;  (* declaration order *)
+  r_cache : Ilp_sim.Cache.t option;
+  mutable r_now : int;
+  mutable r_issued : int;
+  mutable r_stalls : int;
+  mutable r_stall_until : int;
+  r_hist : int array;
+  mutable r_force : bool;
+}
+
+let ref_next s =
+  let k = min s.r_issued (Array.length s.r_hist - 1) in
+  s.r_hist.(k) <- s.r_hist.(k) + 1;
+  s.r_now <- s.r_now + 1;
+  s.r_issued <- 0;
+  s.r_force <- false
+
+let ref_issue s (d : Timing.decoded) addr =
+  let module Cache = Ilp_sim.Cache in
+  let lat = ref (Config.latency s.r_config d.d_cls) in
+  (match s.r_cache with
+  | Some c when addr >= 0 && not (Cache.access c addr) ->
+      if d.d_is_load then lat := !lat + Cache.miss_penalty c
+      else
+        s.r_stall_until <-
+          max s.r_stall_until (s.r_now + Cache.miss_penalty c)
+  | _ -> ());
+  let serving =
+    List.filter (fun (u, _) -> List.mem d.d_cls u.Config.classes) s.r_units
+  in
+  let rec try_issue () =
+    while s.r_now < s.r_stall_until do
+      s.r_stalls <- s.r_stalls + 1;
+      ref_next s
+    done;
+    let free =
+      List.find_map
+        (fun (u, free_at) ->
+          Array.find_mapi
+            (fun i f -> if f <= s.r_now then Some (u, free_at, i) else None)
+            free_at)
+        serving
+    in
+    if s.r_issued >= s.r_config.Config.issue_width || s.r_force then begin
+      ref_next s;
+      try_issue ()
+    end
+    else if
+      Array.exists (fun u -> s.r_reg_ready.(u) > s.r_now) d.d_uses
+      || Array.exists (fun r -> s.r_reg_ready.(r) > s.r_now + !lat) d.d_defs
+      || (serving <> [] && free = None)
+    then begin
+      s.r_stalls <- s.r_stalls + 1;
+      ref_next s;
+      try_issue ()
+    end
+    else begin
+      Option.iter
+        (fun (u, free_at, i) ->
+          free_at.(i) <- s.r_now + u.Config.issue_latency)
+        free;
+      Array.iter (fun r -> s.r_reg_ready.(r) <- s.r_now + !lat) d.d_defs;
+      s.r_issued <- s.r_issued + 1;
+      if s.r_config.Config.branch_ends_packet && Iclass.is_control d.d_cls
+      then s.r_force <- true
+    end
+  in
+  try_issue ()
+
+let ref_finish s =
+  let total = max (s.r_now + 1) (Array.fold_left max 0 s.r_reg_ready) in
+  ref_next s;
+  while s.r_now < total do
+    ref_next s
+  done
+
+type kernel_case = {
+  k_config : Config.t;
+  k_cache : (int * int * int) option;  (* lines, line words, penalty *)
+  k_stream : (Timing.decoded * int) list;  (* with the address or -1 *)
+}
+
+let registers = 8 (* few registers, so hazards are frequent *)
+
+let gen_kernel_case =
+  let open QCheck2.Gen in
+  let gen_class = map Iclass.of_index (int_range 0 (Iclass.count - 1)) in
+  let gen_unit k =
+    let* classes = list_size (int_range 1 4) gen_class in
+    let* multiplicity = int_range 1 3 in
+    let* issue_latency = int_range 0 3 in
+    return
+      { Config.unit_name = Printf.sprintf "u%d" k; classes; issue_latency;
+        multiplicity }
+  in
+  let gen_instr =
+    let* d_cls = gen_class in
+    let* d_defs = array_size (int_range 0 2) (int_range 0 (registers - 1)) in
+    let* d_uses = array_size (int_range 0 3) (int_range 0 (registers - 1)) in
+    let d_is_load = d_cls = Iclass.Load in
+    let+ addr =
+      if d_is_load || d_cls = Iclass.Store then int_range 0 63 else pure (-1)
+    in
+    ({ Timing.d_cls; d_is_load; d_defs; d_uses }, addr)
+  in
+  let* issue_width = int_range 1 8 in
+  let* pipe_degree = int_range 1 8 in
+  let* base = array_size (pure Iclass.count) (int_range 1 5) in
+  let* n_units = int_range 0 3 in
+  let* units = flatten_l (List.init n_units gen_unit) in
+  let* branch_ends_packet = bool in
+  let* k_cache =
+    option (triple (oneofl [ 2; 8 ]) (oneofl [ 1; 2 ]) (int_range 1 12))
+  in
+  let+ k_stream = list_size (int_range 1 80) gen_instr in
+  { k_config =
+      Config.make "random" ~issue_width ~pipe_degree ~units
+        ~latencies:(Config.scale_latencies base pipe_degree)
+        ~branch_ends_packet;
+    k_cache;
+    k_stream;
+  }
+
+let print_kernel_case c =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "%s%s\n%s"
+    (Fmt.str "%a" Config.pp c.k_config)
+    (match c.k_cache with
+    | None -> "no cache"
+    | Some (l, w, p) ->
+        Printf.sprintf "cache lines=%d line_words=%d penalty=%d" l w p)
+    (String.concat "\n"
+       (List.map
+          (fun ((d : Timing.decoded), addr) ->
+            Printf.sprintf "  %s defs=[%s] uses=[%s] addr=%d"
+              (Iclass.name d.d_cls) (ints d.d_defs) (ints d.d_uses) addr)
+          c.k_stream))
+
+(* Run the kernel and the reference side by side on the same stream and
+   compare the whole hazard state and the accumulators after every
+   instruction and after the drain.  A failure prints the case; the
+   "qcheck random seed" line at the top of the run reproduces it with
+   QCHECK_SEED. *)
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~count:500
+    ~name:"timing kernel = cycle-by-cycle reference" ~print:print_kernel_case
+    gen_kernel_case (fun c ->
+      let cache () =
+        Option.map
+          (fun (lines, line_words, penalty) ->
+            Ilp_sim.Cache.create ~lines ~line_words ~penalty ())
+          c.k_cache
+      in
+      let t = Timing.create ?cache:(cache ()) ~registers c.k_config in
+      let s =
+        { r_config = c.k_config;
+          r_reg_ready = Array.make registers 0;
+          r_units =
+            List.map
+              (fun u -> (u, Array.make u.Config.multiplicity 0))
+              c.k_config.Config.units;
+          r_cache = cache ();
+          r_now = 0;
+          r_issued = 0;
+          r_stalls = 0;
+          r_stall_until = 0;
+          r_hist = Array.make (c.k_config.Config.issue_width + 1) 0;
+          r_force = false;
+        }
+      in
+      let agree step =
+        let free_at =
+          Array.to_list (Array.map (fun p -> p.Timing.free_at) t.Timing.pools)
+        in
+        if
+          t.Timing.now <> s.r_now
+          || t.Timing.stall_cycles <> s.r_stalls
+          || t.Timing.issue_histogram <> s.r_hist
+          || t.Timing.reg_ready <> s.r_reg_ready
+          || free_at <> List.map snd s.r_units
+        then
+          QCheck2.Test.fail_reportf
+            "%s: kernel now=%d stalls=%d, reference now=%d stalls=%d" step
+            t.Timing.now t.Timing.stall_cycles s.r_now s.r_stalls
+      in
+      List.iteri
+        (fun k ((d : Timing.decoded), addr) ->
+          Timing.issue_decoded t ~cls:d.d_cls ~is_load:d.d_is_load
+            ~defs:d.d_defs ~uses:d.d_uses addr;
+          ref_issue s d addr;
+          agree (Printf.sprintf "after instruction %d" k))
+        c.k_stream;
+      Timing.finish t;
+      ref_finish s;
+      agree "after finish";
+      true)
+
 let tests =
   [ Alcotest.test_case "base throughput" `Quick test_base_throughput;
     Alcotest.test_case "snapshot/resume round-trip" `Quick
@@ -298,4 +505,5 @@ let tests =
     Alcotest.test_case "speedup metric" `Quick test_speedup_metric;
     Alcotest.test_case "cache behaviour" `Quick test_cache_behavior;
     Alcotest.test_case "cache validation" `Quick test_cache_invalid;
-    Alcotest.test_case "cache stalls pipeline" `Quick test_cache_stalls_pipeline ]
+    Alcotest.test_case "cache stalls pipeline" `Quick test_cache_stalls_pipeline;
+    QCheck_alcotest.to_alcotest prop_kernel_matches_reference ]
