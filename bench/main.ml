@@ -113,7 +113,14 @@ let time_engines () =
    the core count measures oversubscription (domains time-slicing a
    core), not scaling, so it stays in the table but out of the ratio,
    and a ratio below 1.0 is reported as a "slowdown", never a sub-1.0
-   "speedup". *)
+   "speedup".  One wall-clock sample of a ~2 s sweep swings with host
+   noise (back-to-back runs on one 2-core host gave jobs=2 at 2.06x and
+   1.53x), so every pool width is sampled [parallel_samples] times in
+   round-robin order — each round runs every width once, so drift in
+   the host's load hits all widths alike — and the table and headline
+   use the median, with min and max kept beside it. *)
+let parallel_samples = 5
+
 let time_parallel () =
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -124,41 +131,66 @@ let time_parallel () =
   let serial = Ilp_core.Experiments.fig4_1 () in
   let cores = Domain.recommended_domain_count () in
   let job_counts = List.sort_uniq compare [ 1; 2; 4; cores ] in
-  let timings =
-    List.map
-      (fun j ->
+  let samples = List.map (fun j -> (j, ref [])) job_counts in
+  for _ = 1 to parallel_samples do
+    List.iter
+      (fun (j, acc) ->
         let s, r =
           wall (fun () -> with_jobs j (fun () -> Ilp_core.Experiments.fig4_1 ()))
         in
         if r <> serial then
           failwith
             (Printf.sprintf "BUG: fig4_1 with jobs=%d differs from serial" j);
-        (j, s))
-      job_counts
+        acc := s :: !acc)
+      samples
+  done;
+  (* (jobs, median, min, max); the sample count is odd *)
+  let timings =
+    List.map
+      (fun (j, acc) ->
+        let xs = Array.of_list !acc in
+        Array.sort compare xs;
+        let n = Array.length xs in
+        (j, xs.(n / 2), xs.(0), xs.(n - 1)))
+      samples
   in
-  let time_of j = List.assoc j timings in
+  let time_of j =
+    let _, median, _, _ = List.find (fun (j', _, _, _) -> j' = j) timings in
+    median
+  in
   let max_jobs =
     List.fold_left
-      (fun acc (j, _) -> if j <= cores then max acc j else acc)
+      (fun acc (j, _, _, _) -> if j <= cores then max acc j else acc)
       1 timings
   in
   let ratio = time_of 1 /. time_of max_jobs in
   Printf.printf
-    "---- fig4_1 parallel engine comparison (host has %d core%s) ----\n"
+    "---- fig4_1 parallel engine comparison (host has %d core%s, median of \
+     %d alternating samples) ----\n"
     cores
-    (if cores = 1 then "" else "s");
-  List.iter (fun (j, s) -> Printf.printf "jobs=%-3d  %.2f s\n" j s) timings;
+    (if cores = 1 then "" else "s")
+    parallel_samples;
+  List.iter
+    (fun (j, m, lo, hi) ->
+      Printf.printf "jobs=%-3d  %.2f s  (min %.2f, max %.2f)\n" j m lo hi)
+    timings;
   (if ratio >= 1.0 then
-     Printf.printf "speedup (jobs=1 vs jobs=%d):   %.2fx\n" max_jobs ratio
+     Printf.printf "speedup (jobs=1 vs jobs=%d, medians):   %.2fx\n" max_jobs
+       ratio
    else
-     Printf.printf "slowdown (jobs=1 vs jobs=%d):  %.2fx\n" max_jobs
+     Printf.printf "slowdown (jobs=1 vs jobs=%d, medians):  %.2fx\n" max_jobs
        (1.0 /. ratio));
   print_newline ();
   let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc "{\n  \"experiment\": \"fig4_1\",\n  \"cores\": %d,\n"
-    cores;
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"fig4_1\",\n  \"cores\": %d,\n  \"samples\": %d,\n"
+    cores parallel_samples;
   List.iter
-    (fun (j, s) -> Printf.fprintf oc "  \"jobs_%d_seconds\": %.3f,\n" j s)
+    (fun (j, m, lo, hi) ->
+      Printf.fprintf oc
+        "  \"jobs_%d_seconds\": %.3f,\n  \"jobs_%d_min_seconds\": %.3f,\n\
+        \  \"jobs_%d_max_seconds\": %.3f,\n"
+        j m j lo j hi)
     timings;
   if ratio >= 1.0 then Printf.fprintf oc "  \"speedup\": %.2f,\n" ratio
   else Printf.fprintf oc "  \"slowdown\": %.2f,\n" (1.0 /. ratio);

@@ -45,16 +45,30 @@ module Interval = struct
     let lo = sat lo and hi = sat hi in
     if cmp_bound lo hi > 0 then Bot else Iv (lo, hi)
 
+  (* by cases rather than with the polymorphic [=], which is a C call:
+     equality tests run on every accumulator join and loop-head check *)
+  let equal_bound a b =
+    match (a, b) with
+    | Ninf, Ninf | Pinf, Pinf -> true
+    | Fin x, Fin y -> x = y
+    | (Ninf | Fin _ | Pinf), _ -> false
+
   let equal a b =
     match (a, b) with
     | Bot, Bot -> true
-    | Iv (l1, h1), Iv (l2, h2) -> l1 = l2 && h1 = h2
+    | Iv (l1, h1), Iv (l2, h2) -> equal_bound l1 l2 && equal_bound h1 h2
     | (Bot | Iv _), _ -> false
 
   let join a b =
     match (a, b) with
     | Bot, v | v, Bot -> v
-    | Iv (l1, h1), Iv (l2, h2) -> Iv (min_bound l1 l2, max_bound h1 h2)
+    | Iv (l1, h1), Iv (l2, h2) ->
+        (* most joins add nothing: hand back the operand that already
+           is the result rather than allocating its copy *)
+        let lo = min_bound l1 l2 and hi = max_bound h1 h2 in
+        if lo == l1 && hi == h1 then a
+        else if lo == l2 && hi == h2 then b
+        else Iv (lo, hi)
 
   let meet a b =
     match (a, b) with
@@ -82,8 +96,8 @@ module Interval = struct
     match (old, finer) with
     | Bot, _ | _, Bot -> Bot
     | Iv (l1, h1), Iv (l2, h2) ->
-        let lo = if l1 = Ninf then l2 else l1 in
-        let hi = if h1 = Pinf then h2 else h1 in
+        let lo = match l1 with Ninf -> l2 | Fin _ | Pinf -> l1 in
+        let hi = match h1 with Pinf -> h2 | Ninf | Fin _ -> h1 in
         if cmp_bound lo hi > 0 then Bot else Iv (lo, hi)
 
   let mem n = function
@@ -121,6 +135,10 @@ module Congruence = struct
   let join a b =
     match (a, b) with
     | Bot, v | v, Bot -> v
+    (* the two shortcuts are what the general case computes: top
+       absorbs, and a normalised class joined with itself is itself *)
+    | Cg (_, 1), _ | _, Cg (_, 1) -> top
+    | Cg (r1, m1), Cg (r2, m2) when r1 = r2 && m1 = m2 -> a
     | Cg (r1, m1), Cg (r2, m2) -> make r1 (gcd (gcd m1 m2) (r1 - r2))
 
   let mem n = function

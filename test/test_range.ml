@@ -129,40 +129,155 @@ fun main() {
   Alcotest.(check int) "no unknown" 0 unknown;
   Alcotest.(check bool) "all sites proved safe" true (safe >= 3)
 
+(* The configurations [ilp sanitize --all] analyzes: every benchmark
+   rolled, plus its shipped unroll factor (naive, no peeling) where it
+   has one — labelled the way the CLI's tally labels them. *)
+let sanitize_configs () =
+  List.concat_map
+    (fun (w : Ilp_workloads.Workload.t) ->
+      let name = w.Ilp_workloads.Workload.name
+      and factor = w.Ilp_workloads.Workload.default_unroll in
+      (name, None)
+      ::
+      (if factor > 1 then
+         [ ( Printf.sprintf "%s x%d" name factor,
+             Some
+               { Ilp_core.Ilp.mode = Ilp_lang.Unroll.Naive;
+                 factor;
+                 bounds = false;
+               } ) ]
+       else [])
+      |> List.map (fun (label, unroll) ->
+             (label, name, unroll, w.Ilp_workloads.Workload.source)))
+    (Ilp_workloads.Registry.all @ Ilp_workloads.Registry.extras)
+
 (* The CI gate: no benchmark — rolled or at its shipped unroll factor —
    has an access the analysis proves out of bounds; the masked-subscript
    workloads are fully proved safe. *)
 let test_workloads_no_oob () =
   List.iter
-    (fun (w : Ilp_workloads.Workload.t) ->
-      let specs =
-        None
-        ::
-        (if w.Ilp_workloads.Workload.default_unroll > 1 then
-           [ Some
-               { Ilp_core.Ilp.mode = Ilp_lang.Unroll.Naive;
-                 factor = w.Ilp_workloads.Workload.default_unroll;
-                 bounds = false;
-               } ]
-         else [])
-      in
-      List.iter
-        (fun unroll ->
-          let t = analyze_src ?unroll w.Ilp_workloads.Workload.source in
-          let safe, oob, unknown = A.counts t in
-          if oob <> 0 then
-            Alcotest.failf "%s: %d access(es) proved out of bounds"
-              w.Ilp_workloads.Workload.name oob;
-          if
-            List.mem w.Ilp_workloads.Workload.name
-              [ "whet"; "smooth"; "redblack" ]
-            && unknown <> 0
-          then
-            Alcotest.failf "%s: expected fully proved safe, got %d/%d unknown"
-              w.Ilp_workloads.Workload.name unknown
-              (safe + unknown))
-        specs)
-    (Ilp_workloads.Registry.all @ Ilp_workloads.Registry.extras)
+    (fun (_, name, unroll, source) ->
+      let t = analyze_src ?unroll source in
+      let safe, oob, unknown = A.counts t in
+      if oob <> 0 then
+        Alcotest.failf "%s: %d access(es) proved out of bounds" name oob;
+      if List.mem name [ "whet"; "smooth"; "redblack" ] && unknown <> 0 then
+        Alcotest.failf "%s: expected fully proved safe, got %d/%d unknown"
+          name unknown (safe + unknown))
+    (sanitize_configs ())
+
+(* The exact verdict tally of every [sanitize --all] configuration, as
+   the CLI prints it.  Any change to how the analysis walks a program —
+   iteration order, widening schedule, which loop counts as counted —
+   shows up here first. *)
+let test_sanitize_tallies () =
+  let expected =
+    [ ("ccom", (1, 0, 49));
+      ("grr", (6, 0, 13));
+      ("linpack", (22, 0, 6));
+      ("linpack x4", (66, 0, 22));
+      ("livermore", (72, 0, 4));
+      ("met", (34, 0, 8));
+      ("stanford", (42, 0, 20));
+      ("whet", (13, 0, 0));
+      ("yacc", (17, 0, 14));
+      ("smooth", (4, 0, 0));
+      ("smooth x4", (18, 0, 0));
+      ("redblack", (8, 0, 0));
+      ("redblack x4", (32, 0, 0)) ]
+  in
+  let actual =
+    List.map
+      (fun (label, _, unroll, source) ->
+        (label, A.counts (analyze_src ?unroll source)))
+      (sanitize_configs ())
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "(safe, oob, unknown) per configuration" expected actual
+
+(* Site paths and discovery order on a program with every statement
+   form: a helper function, if/else, while, a counted for, a for over a
+   symbolic bound (an array load the constant environment cannot fold),
+   and a nested counted loop.  A path is the function name followed by
+   each statement's index in its block, with [then]/[else]/[body]
+   naming the nested block; within one statement, reads are discovered
+   in evaluation order before the store they feed. *)
+let test_site_paths () =
+  let t =
+    analyze_src
+      {|
+arr a : int[16];
+arr b : int[8];
+var g : int = 3;
+
+fun get(k: int) : int {
+  return a[k & 15];
+}
+
+fun main() {
+  var i : int;
+  var j : int;
+  var n : int;
+  n = b[0] & 7;
+  if (n > 0) { a[0] = 1; } else { b[1] = 2; }
+  i = 0;
+  while (i < 4) { b[i] = a[i + 4]; i = i + 1; }
+  for (i = 0; i < 8; i = i + 1) { a[i] = b[i]; }
+  for (i = 0; i < n; i = i + 1) { a[i + 8] = get(i); }
+  for (i = 0; i < 4; i = i + 1) {
+    for (j = 0; j < 4; j = j + 1) { a[i * 4 + j] = b[j + i]; }
+  }
+  sink(a[3] + g);
+}
+|}
+  in
+  let show (s : A.site) =
+    Printf.sprintf "%s %s %s%s" s.A.s_func s.A.s_path s.A.s_array
+      (if s.A.s_write then " write" else "")
+  in
+  Alcotest.(check (list string)) "sites in discovery order"
+    [ "get get.0 a";
+      "main main.3 b";
+      "main main.4.then.0 a write";
+      "main main.4.else.0 b write";
+      "main main.6.body.0 a";
+      "main main.6.body.0 b write";
+      "main main.7.body.0 b";
+      "main main.7.body.0 a write";
+      "main main.8.body.0 a write";
+      "main main.9.body.0.body.0 b";
+      "main main.9.body.0.body.0 a write";
+      "main main.10 a" ]
+    (List.map show t.A.sites);
+  let safe, oob, unknown = A.counts t in
+  Alcotest.(check (triple int int int)) "every site proved safe" (12, 0, 0)
+    (safe, oob, unknown)
+
+(* Allocation gate: the analysis of all [sanitize --all] configurations
+   stays within 120 M minor words (about 50 M today).  The fixpoint
+   re-walks every loop body many times, so anything it recomputes per
+   visit from the syntax alone (site paths, constant environments, loop
+   classification, name lookups) or allocates per comparison (union key
+   lists in the environment equality) multiplies into this figure;
+   recomputing them made it 175 M. *)
+let test_absint_allocation () =
+  let tasts =
+    List.map
+      (fun (_, _, unroll, source) ->
+        let tast = Ilp_lang.Semant.compile_source source in
+        match unroll with
+        | Some { Ilp_core.Ilp.mode; factor; bounds } ->
+            Ilp_lang.Unroll.program ~bounds mode factor tast
+        | None -> tast)
+      (sanitize_configs ())
+  in
+  let before = Gc.minor_words () in
+  List.iter (fun t -> ignore (A.analyze t)) tasts;
+  let words = Gc.minor_words () -. before in
+  if words > 120e6 then
+    Alcotest.failf "Absint.analyze over %d configurations: %.1f M minor \
+                    words (budget 120 M)"
+      (List.length tasts) (words /. 1e6)
 
 (* --- range-sharpened memory disambiguation ----------------------------- *)
 
@@ -432,6 +547,12 @@ let tests =
       test_sanitize_proves_safe;
     Alcotest.test_case "sanitize: no workload proved oob" `Slow
       test_workloads_no_oob;
+    Alcotest.test_case "sanitize: exact tally of every --all configuration"
+      `Slow test_sanitize_tallies;
+    Alcotest.test_case "sanitize: site paths and discovery order" `Quick
+      test_site_paths;
+    Alcotest.test_case "absint: allocation within budget" `Quick
+      test_absint_allocation;
     Alcotest.test_case "memdep: ranges prune redblack" `Quick
       test_redblack_range_pruning;
     Alcotest.test_case "memdep: range schedules are sound" `Quick
